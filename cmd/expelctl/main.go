@@ -60,16 +60,16 @@ func main() {
 
 	if *serverAddr != "" {
 		runRemote(remoteArgs{
-			addr:     *serverAddr,
-			publish:  *publish,
-			retrieve: *retrieve,
-			assemble: *assemble,
-			remove:   *remove,
-			sync:     *syncFlag,
-			compact:  *compact,
-			vacuum:   *vacuum,
-			saveFile: *saveFile,
-			loadFile: *loadFile,
+			addr:      *serverAddr,
+			publish:   *publish,
+			retrieve:  *retrieve,
+			assemble:  *assemble,
+			remove:    *remove,
+			sync:      *syncFlag,
+			compact:   *compact,
+			vacuum:    *vacuum,
+			saveFile:  *saveFile,
+			loadFile:  *loadFile,
 			dotFile:   *dotFile,
 			noDedup:   *noDedup,
 			noBaseSel: *noBaseSel,

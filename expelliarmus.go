@@ -148,14 +148,15 @@ func NewWithOptions(o Options) *System {
 // OpenAt creates or reopens a disk-backed System rooted at path. Unlike
 // New, the repository's blobs live in append-only segment files under
 // path/blobs and its metadata in a snapshot + write-ahead-log pair under
-// path (see internal/metawal; a legacy path/meta.db layout is migrated
-// on first open), so the catalog can outgrow RAM and survives the
-// process: reopening the same path (after a clean Close, a plain exit,
-// or a crash — torn log tails are recovered and reported, see
-// internal/blobstore/diskstore and internal/metawal) yields the
+// path (see internal/metawal), so the catalog can outgrow RAM and
+// survives the process: reopening the same path (after a clean Close, a
+// plain exit, or a crash — torn log tails are recovered and reported,
+// see internal/blobstore/diskstore and internal/metawal) yields the
 // repository as of everything published, plus whatever later operations
 // the logs retained. Call Sync to force durability at a point in time;
-// it is incremental on both the blob and the metadata side.
+// it is incremental on both the blob and the metadata side. A directory
+// holding a pre-WAL path/meta.db image but no metadata commit record is
+// refused with an error, and the file is left untouched.
 func OpenAt(path string, o Options) (*System, error) {
 	dev := newDevice()
 	repo, err := vmirepo.OpenAtOpts(path, dev, vmirepo.OpenOptions{
@@ -172,39 +173,9 @@ func OpenAt(path string, o Options) (*System, error) {
 	}, nil
 }
 
-// SyncStats reports one durable save of a disk-backed System.
-type SyncStats struct {
-	// Segments and SegmentBytes describe the incremental blob flush: only
-	// bytes appended since the previous Sync are written, so a Sync after
-	// publishing one image costs that image, not the whole store. Segments
-	// counts segment flushes — a file flushed in both phases of the
-	// repository sync (new blobs, then release records) counts twice,
-	// while SegmentBytes never double-counts a byte.
-	Segments     int
-	SegmentBytes int64
-	// IndexBytes is the blob index image committed atomically alongside.
-	// MetaBytes is the metadata bytes this sync committed: the WAL delta
-	// (framed mutation records plus one commit marker) on the hot path,
-	// or the fresh full snapshot on a compacting sync — never a full
-	// metadata rewrite for an incremental delta.
-	IndexBytes int64
-	MetaBytes  int64
-	// MetaOps counts the metadata mutations committed; Compacted reports
-	// that the metadata WAL was rewritten into a fresh snapshot of
-	// MetaSnapshotBytes (zero otherwise).
-	MetaOps           int
-	Compacted         bool
-	MetaSnapshotBytes int64
-	// SegmentsCompacted and BytesReclaimed report blob segment compaction
-	// this sync performed (automatically past the dead-ratio threshold, or
-	// because Compact forced it): segments evacuated and the file bytes
-	// their retirement freed. DeadBytes is the garbage still on disk after
-	// — record bytes of released blobs whose segments have not yet crossed
-	// the threshold.
-	SegmentsCompacted int
-	BytesReclaimed    int64
-	DeadBytes         int64
-}
+// SyncStats reports one durable save of a disk-backed System; see
+// wire.SyncStats for its fields.
+type SyncStats = wire.SyncStats
 
 // Sync makes a disk-backed System durable up to all completed operations.
 // It may be called while traffic is in flight (it waits out any metadata
@@ -216,7 +187,7 @@ func (s *System) Sync() (SyncStats, error) {
 	if err != nil {
 		return SyncStats{}, err
 	}
-	return newSyncStats(st), nil
+	return wire.NewSyncStats(st), nil
 }
 
 // Compact is Sync with forced compaction of both stores: the metadata
@@ -231,22 +202,7 @@ func (s *System) Compact() (SyncStats, error) {
 	if err != nil {
 		return SyncStats{}, err
 	}
-	return newSyncStats(st), nil
-}
-
-func newSyncStats(st vmirepo.SyncStats) SyncStats {
-	return SyncStats{
-		Segments:          st.Blobs.Segments,
-		SegmentBytes:      st.Blobs.SegmentBytes,
-		IndexBytes:        st.Blobs.IndexBytes,
-		MetaBytes:         st.MetaBytes,
-		MetaOps:           st.MetaOps,
-		Compacted:         st.Compacted,
-		MetaSnapshotBytes: st.MetaSnapshotBytes,
-		SegmentsCompacted: st.Blobs.SegmentsCompacted,
-		BytesReclaimed:    st.Blobs.BytesReclaimed,
-		DeadBytes:         st.Blobs.DeadBytes,
-	}
+	return wire.NewSyncStats(st), nil
 }
 
 // Persistent reports whether the System is disk-backed (OpenAt): Sync
@@ -408,20 +364,9 @@ func (s *System) BuildIDESeries(n int) ([]*Image, error) {
 	return out, nil
 }
 
-// PublishResult reports a publish operation.
-type PublishResult struct {
-	// Similarity is SimG against the best-matching master graph.
-	Similarity float64
-	// Exported lists the packages stored by this publish.
-	Exported []string
-	// Skipped counts packages already in the repository.
-	Skipped int
-	// BaseStored reports whether a new base image was stored.
-	BaseStored bool
-	// Seconds is the modeled publish time; Phases decomposes it.
-	Seconds float64
-	Phases  map[string]float64
-}
+// PublishResult reports a publish operation; see wire.PublishResult for
+// its fields.
+type PublishResult = wire.PublishResult
 
 // Publish decomposes and stores an image. The caller's Image remains
 // usable (publishing operates on an internal clone).
@@ -452,18 +397,7 @@ func (s *System) PublishWith(img *Image, opts PublishOptions) (*PublishResult, e
 	if err != nil {
 		return nil, err
 	}
-	return newPublishResult(rep), nil
-}
-
-func newPublishResult(rep *core.PublishReport) *PublishResult {
-	return &PublishResult{
-		Similarity: rep.Similarity,
-		Exported:   append([]string(nil), rep.Exported...),
-		Skipped:    rep.Skipped,
-		BaseStored: rep.BaseStored,
-		Seconds:    rep.Seconds(),
-		Phases:     phaseMap(rep.Meter),
-	}
+	return wire.NewPublishResult(rep), nil
 }
 
 // PublishAll publishes a batch of images concurrently, bounded by
@@ -487,20 +421,14 @@ func (s *System) PublishAll(imgs []*Image) ([]*PublishResult, error) {
 		if rep == nil {
 			continue
 		}
-		out[i] = newPublishResult(rep)
+		out[i] = wire.NewPublishResult(rep)
 	}
 	return out, err
 }
 
-// RetrieveResult reports a retrieval operation.
-type RetrieveResult struct {
-	// Imported lists the packages installed during assembly.
-	Imported []string
-	// Seconds is the modeled retrieval time; Phases decomposes it into the
-	// paper's Fig. 5a components (copy, launch, reset, import, ...).
-	Seconds float64
-	Phases  map[string]float64
-}
+// RetrieveResult reports a retrieval operation; see wire.RetrieveResult
+// for its fields.
+type RetrieveResult = wire.RetrieveResult
 
 // Retrieve reassembles a published VMI by name.
 func (s *System) Retrieve(name string) (*Image, *RetrieveResult, error) {
@@ -508,7 +436,7 @@ func (s *System) Retrieve(name string) (*Image, *RetrieveResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, newRetrieveResult(rep), nil
+	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
 }
 
 // RetrieveTo reassembles a published VMI and streams its serialized
@@ -522,15 +450,7 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveResult, e
 	if err != nil {
 		return n, nil, err
 	}
-	return n, newRetrieveResult(rep), nil
-}
-
-func newRetrieveResult(rep *core.RetrieveReport) *RetrieveResult {
-	return &RetrieveResult{
-		Imported: append([]string(nil), rep.Imported...),
-		Seconds:  rep.Seconds(),
-		Phases:   phaseMap(rep.Meter),
-	}
+	return n, wire.NewRetrieveResult(rep), nil
 }
 
 // RetrieveAll reassembles a batch of published VMIs concurrently, bounded
@@ -558,7 +478,7 @@ func mapRetrieveResults(n int, imgs []*vmi.Image, reps []*core.RetrieveReport) (
 			continue
 		}
 		outImgs[i] = &Image{inner: imgs[i]}
-		outReps[i] = newRetrieveResult(reps[i])
+		outReps[i] = wire.NewRetrieveResult(reps[i])
 	}
 	return outImgs, outReps
 }
@@ -571,15 +491,7 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, newRetrieveResult(rep), nil
-}
-
-func phaseMap(m *simio.Meter) map[string]float64 {
-	out := map[string]float64{}
-	for ph, d := range m.Snapshot() {
-		out[string(ph)] = d.Seconds()
-	}
-	return out
+	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
 }
 
 // RepoStats summarises the repository at paper scale.
@@ -631,21 +543,9 @@ func (s *System) Remove(name string) error { return s.sys.Remove(name) }
 // (see cmd/expelserverd's -expire-interval).
 func (s *System) ExpireAt(now int64) ([]string, error) { return s.sys.ExpireAt(now) }
 
-// VacuumStats reports what one Vacuum pass reclaimed.
-type VacuumStats struct {
-	// PackagesRemoved counts package records no VMI referenced.
-	PackagesRemoved int
-	// UserDataRemoved counts user-data archives whose VMI is gone.
-	UserDataRemoved int
-	// MetaRemoved counts lifecycle records whose VMI is gone.
-	MetaRemoved int
-	// BlobsReleased counts blobs no metadata record referenced (crash
-	// orphans and the leftovers of abandoned or quota-rejected publishes).
-	BlobsReleased int
-	// BytesReclaimed is the payload bytes of the removed packages and
-	// released blobs.
-	BytesReclaimed int64
-}
+// VacuumStats reports what one Vacuum pass reclaimed; see
+// core.VacuumStats for its fields.
+type VacuumStats = core.VacuumStats
 
 // Vacuum reclaims everything dangling in the repository: packages no VMI
 // references, user-data archives and lifecycle records of VMIs that no
@@ -654,19 +554,7 @@ type VacuumStats struct {
 // the leftovers of abandoned publishes. On a disk-backed System it then
 // compacts both stores so the reclaimed bytes leave the disk. Safe under
 // concurrent traffic (it runs as one repository transaction).
-func (s *System) Vacuum() (VacuumStats, error) {
-	st, err := s.sys.Vacuum()
-	if err != nil {
-		return VacuumStats{}, err
-	}
-	return VacuumStats{
-		PackagesRemoved: st.PackagesRemoved,
-		UserDataRemoved: st.UserDataRemoved,
-		MetaRemoved:     st.MetaRemoved,
-		BlobsReleased:   st.BlobsReleased,
-		BytesReclaimed:  st.BytesReclaimed,
-	}, nil
-}
+func (s *System) Vacuum() (VacuumStats, error) { return s.sys.Vacuum() }
 
 // TenantStats returns each tenant's recorded live bytes — what publishes
 // charged (stored package, base and user-data bytes) minus what removals
@@ -696,70 +584,20 @@ func Restore(snapshot []byte, o Options) (*System, error) {
 	}, nil
 }
 
-// CacheStats reports the retrieval cache's effectiveness. Enabled is
-// false (and every counter zero) when the System runs without a cache
+// CacheStats reports the retrieval cache's effectiveness: core.CacheStats
+// (hits, misses, evictions, occupancy, per-stripe breakdowns and the miss
+// singleflight's Flights meter) plus Enabled, which is false (and every
+// counter zero) when the System runs without a cache
 // (Options.CacheBytes == 0).
 type CacheStats struct {
 	Enabled bool
-	// Hits and Misses count Retrieve/RetrieveAll lookups; Puts counts
-	// assemblies inserted.
-	Hits, Misses, Puts int64
-	// Coalesced counts misses served by waiting on a concurrent assembly
-	// of the same image (the miss singleflight) instead of assembling it
-	// again — under a retrieval storm on one cold image, expect 1 miss
-	// that assembles and the rest split between Coalesced and Hits.
-	Coalesced int64
-	// Evictions counts entries dropped to honour CacheBytes; Rejected
-	// counts images too large to cache at all; Poisoned counts hits that
-	// failed content verification (each surfaced as a retrieval error).
-	Evictions, Rejected, Poisoned int64
-	// StripeHits and StripeInvalidations break hits and stood-down
-	// inserts (an assembly raced a mutation and was not cached) down by
-	// the generation stripe of the retrieval's base image. Invalidation
-	// is striped per base, so steady publish traffic shows up on its own
-	// bases' stripes while a hot image's stripe keeps collecting hits.
-	StripeHits, StripeInvalidations []int64
-	// Entries and Bytes describe current occupancy; MaxBytes echoes
-	// Options.CacheBytes.
-	Entries  int
-	Bytes    int64
-	MaxBytes int64
-	// FlightsLed counts assemblies started as the leader of a miss
-	// singleflight; FlightsActive and FlightWaiters are gauges of flights
-	// currently assembling and retrievals currently queued behind one;
-	// FlightPeakDepth is the deepest follower queue any single flight has
-	// built up — together the queue-depth meter of retrieval pressure.
-	FlightsLed      int64
-	FlightsActive   int64
-	FlightWaiters   int64
-	FlightPeakDepth int64
+	core.CacheStats
 }
 
 // CacheStats returns current retrieval-cache counters.
 func (s *System) CacheStats() CacheStats {
 	st, ok := s.sys.CacheStats()
-	if !ok {
-		return CacheStats{}
-	}
-	return CacheStats{
-		Enabled:             true,
-		Hits:                st.Hits,
-		Misses:              st.Misses,
-		Puts:                st.Puts,
-		Coalesced:           st.Coalesced,
-		Evictions:           st.Evictions,
-		Rejected:            st.Rejected,
-		Poisoned:            st.Poisoned,
-		StripeHits:          st.StripeHits,
-		StripeInvalidations: st.StripeInvalidations,
-		Entries:             st.Entries,
-		Bytes:               st.Bytes,
-		MaxBytes:            st.MaxBytes,
-		FlightsLed:          st.Flights.Led,
-		FlightsActive:       st.Flights.Active,
-		FlightWaiters:       st.Flights.Waiting,
-		FlightPeakDepth:     st.Flights.PeakDepth,
-	}
+	return CacheStats{Enabled: ok, CacheStats: st}
 }
 
 // ContainerLayer describes one layer of an exported container image.

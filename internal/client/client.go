@@ -188,7 +188,7 @@ func verifyStream(resp *http.Response, w io.Writer) (int64, *wire.RetrieveResult
 	h := sha256.New()
 	n, err := io.Copy(io.MultiWriter(w, h), resp.Body)
 	if err != nil {
-		return n, nil, fmt.Errorf("client: image stream aborted after %d bytes (%v): %w", n, err, ErrTruncated)
+		return n, nil, fmt.Errorf("client: image stream aborted after %d bytes: %w: %w", n, ErrTruncated, err)
 	}
 	wantSha := resp.Trailer.Get(server.HeaderSha256)
 	wantBytes := resp.Trailer.Get(server.HeaderBytes)

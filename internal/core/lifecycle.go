@@ -51,7 +51,7 @@ type VacuumStats struct {
 	// MetaRemoved counts lifecycle records whose VMI is gone.
 	MetaRemoved int
 	// BlobsReleased counts blobs no metadata record referenced (crash
-	// orphans and abandoned publishes).
+	// orphans and the leftovers of abandoned or quota-rejected publishes).
 	BlobsReleased int
 	// BytesReclaimed is the payload bytes of the removed packages and
 	// released blobs.

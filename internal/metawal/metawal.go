@@ -9,7 +9,6 @@
 //	meta.snap-00000007   full metadb snapshot at the epoch's birth
 //	meta.wal-00000007    append-only op log extending that snapshot
 //	meta.commit          root of trust: current epoch + durable WAL length
-//	meta.db              legacy pre-WAL layout, migrated on first open
 //
 // The snapshot+log pair is versioned by an epoch. Mutations are captured
 // through the metadb journal hook (Log.Record) into an in-memory pending
@@ -120,9 +119,6 @@ type RecoveryReport struct {
 	TornOffset   int64
 	DroppedBytes int64
 	DroppedOps   int
-	// LegacyMigrated reports that a pre-WAL meta.db image was loaded and
-	// migrated into the epoch layout.
-	LegacyMigrated bool
 	// StaleFilesRemoved counts leftover snapshot/WAL files from other
 	// epochs (crashed compactions) swept on open.
 	StaleFilesRemoved int
@@ -203,46 +199,34 @@ func Open(dir string, opts Options) (*Log, *metadb.DB, error) {
 		return nil, nil, err
 	}
 	l.recovery.StaleFilesRemoved = l.cleanStale(snapName(epoch), walName(epoch))
-	// A leftover legacy meta.db (migration crashed between the commit and
-	// its best-effort removal) is stale debris once a commit exists — and
-	// a trap: were meta.commit ever lost, initFresh would re-migrate the
-	// stale file instead of refusing. Sweep it here, where the commit
-	// proves it obsolete.
-	if os.Remove(filepath.Join(dir, "meta.db")) == nil {
-		l.recovery.StaleFilesRemoved++
-	}
 	return l, l.db, nil
 }
 
 // initFresh initialises a directory with no commit record: a brand-new
-// repository, a legacy pre-WAL layout (meta.db, migrated here), or the
-// leftovers of a crash during a previous first initialisation (no commit
-// ever vouched for those files, so they are swept). Epoch files a commit
-// must once have vouched for — any epoch beyond 1, a WAL with records,
-// a non-empty snapshot with no legacy source to re-migrate from — mean
-// the root of trust itself was lost, and re-initialising would silently
-// destroy the repository's metadata; that is refused instead.
+// repository, or the leftovers of a crash during a previous first
+// initialisation (no commit ever vouched for those files, so they are
+// swept). A pre-WAL meta.db image is refused and left untouched: Open
+// does not read that layout, and initialising over it would silently
+// present an old repository as an empty one. Epoch files a
+// commit must once have vouched for — any epoch beyond 1, a WAL with
+// records, a non-empty snapshot — mean the root of trust itself was
+// lost, and re-initialising would silently destroy the repository's
+// metadata; that is refused too.
 func (l *Log) initFresh() error {
-	db := metadb.New()
-	legacy := false
 	legacyPath := filepath.Join(l.dir, "meta.db")
-	if img, err := os.ReadFile(legacyPath); err == nil {
-		if db, err = metadb.Load(img); err != nil {
-			return fmt.Errorf("metawal: load legacy %s: %w", legacyPath, err)
-		}
-		legacy = true
+	if _, err := os.Lstat(legacyPath); err == nil {
+		return fmt.Errorf("metawal: %s holds a pre-WAL metadata image, a layout Open does not read; refusing to initialise over it (the file is left untouched)", legacyPath)
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	if err := l.refuseOrphanedEpochs(legacy); err != nil {
+	if err := l.refuseOrphanedEpochs(); err != nil {
 		return err
 	}
-	l.db = db
+	l.db = metadb.New()
 	l.epoch = 1
 	l.recovery.Epoch = 1
-	l.recovery.LegacyMigrated = legacy
 	l.recovery.StaleFilesRemoved = l.cleanStale("", "")
-	img := db.Snapshot()
+	img := l.db.Snapshot()
 	if err := atomicfile.Write(filepath.Join(l.dir, snapName(1)), img); err != nil {
 		return fmt.Errorf("metawal: write initial snapshot: %w", err)
 	}
@@ -256,12 +240,6 @@ func (l *Log) initFresh() error {
 		return err
 	}
 	l.length, l.durable = walHeaderLen, walHeaderLen
-	if legacy {
-		// Best-effort: a leftover meta.db is ignored once meta.commit
-		// exists, so a crash between the commit above and this remove is
-		// harmless.
-		os.Remove(legacyPath)
-	}
 	return nil
 }
 
@@ -435,15 +413,12 @@ func decodeCommitMarker(payload []byte) (int, error) {
 //
 //   - A crashed first initialisation can only ever leave epoch-1 files,
 //     with a record-free WAL (records are appended only by Sync, which
-//     requires the commit to exist) and an empty snapshot (or, mid-
-//     migration, with the legacy meta.db still present as the source of
-//     truth — removed strictly after the commit lands).
-//   - Anything else — a higher epoch, WAL records, a non-empty snapshot
-//     with no legacy file to re-migrate — can only exist after a commit
-//     was durably written, so its absence is data loss, not a fresh
-//     directory, and silently re-initialising would destroy the
-//     repository's metadata.
-func (l *Log) refuseOrphanedEpochs(legacy bool) error {
+//     requires the commit to exist) and an empty snapshot.
+//   - Anything else — a higher epoch, WAL records, a non-empty snapshot —
+//     can only exist after a commit was durably written, so its absence
+//     is data loss, not a fresh directory, and silently re-initialising
+//     would destroy the repository's metadata.
+func (l *Log) refuseOrphanedEpochs() error {
 	refuse := func(evidence string) error {
 		return fmt.Errorf("metawal: %s exists but %s/meta.commit is missing — the root of trust of a committed repository is gone; restore meta.commit from backup, or delete the meta.snap-*/meta.wal-* files if this directory is really meant to start empty", evidence, l.dir)
 	}
@@ -459,9 +434,6 @@ func (l *Log) refuseOrphanedEpochs(legacy bool) error {
 			if epoch != 1 {
 				return refuse(name)
 			}
-			if legacy {
-				continue // mid-migration leftover; meta.db is the source
-			}
 			img, err := os.ReadFile(filepath.Join(l.dir, name))
 			if err != nil {
 				return err
@@ -473,9 +445,6 @@ func (l *Log) refuseOrphanedEpochs(legacy bool) error {
 		case parseEpochName(name, "meta.wal-%08d", &epoch):
 			if epoch != 1 {
 				return refuse(name)
-			}
-			if legacy {
-				continue
 			}
 			fi, err := de.Info()
 			if err != nil {

@@ -476,74 +476,31 @@ func TestCorruptCommitRefused(t *testing.T) {
 	}
 }
 
-// TestLegacyMetaDBMigrated opens a directory holding only a pre-WAL
-// meta.db image: contents load, the epoch layout is created, and the
-// legacy file is gone.
-func TestLegacyMetaDBMigrated(t *testing.T) {
+// TestLegacyMetaDBRefused opens a directory holding a pre-WAL meta.db
+// image and no meta.commit: Open must refuse it rather than initialise
+// an empty repository over it, and must leave the file byte-for-byte
+// untouched with no epoch files created beside it.
+func TestLegacyMetaDBRefused(t *testing.T) {
 	dir := t.TempDir()
 	legacy := metadb.New()
 	legacy.CreateBucket("pkgs").Put([]byte("k"), []byte("v"))
 	want := legacy.Snapshot()
-	if err := os.WriteFile(filepath.Join(dir, "meta.db"), want, 0o644); err != nil {
+	path := filepath.Join(dir, "meta.db")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	l, db := openLog(t, dir, Options{})
-	if !l.Recovery().LegacyMigrated {
-		t.Fatalf("migration not reported: %+v", l.Recovery())
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "meta.db") {
+		t.Fatalf("pre-WAL meta.db not refused: %v", err)
 	}
-	if got := db.Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("legacy contents lost in migration")
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("meta.db changed by the refused open (err %v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.db")); !os.IsNotExist(err) {
-		t.Fatalf("legacy meta.db still present after migration")
-	}
-	l.Close()
-	// Reopen goes through the epoch layout, not the legacy path.
-	got, rec := reopenSnap(t, dir)
-	if rec.LegacyMigrated {
-		t.Fatalf("second open re-migrated")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("migrated contents lost on reopen")
-	}
-}
-
-// TestLeftoverLegacyMetaDBSwept simulates a migration that crashed
-// between the commit and the best-effort meta.db removal: the next
-// successful open must sweep the stale legacy file — otherwise a later
-// loss of meta.commit would silently re-migrate months-stale metadata
-// through the legacy path instead of being refused.
-func TestLeftoverLegacyMetaDBSwept(t *testing.T) {
-	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
-	wire(db, l)
-	putN(db, "b", 0, 3)
-	mustSync(t, l)
-	want := db.Snapshot()
-	l.Close()
-	stale := metadb.New()
-	stale.CreateBucket("ancient").Put([]byte("k"), []byte("v"))
-	if err := os.WriteFile(filepath.Join(dir, "meta.db"), stale.Snapshot(), 0o644); err != nil {
+	des, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	l2, db2 := openLog(t, dir, Options{})
-	if got := db2.Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("committed state displaced by a stale legacy file")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.db")); !os.IsNotExist(err) {
-		t.Fatalf("stale legacy meta.db not swept on commit-path open")
-	}
-	l2.Abandon()
-
-	// With the debris gone, a lost commit is now correctly refused (the
-	// WAL holds records) instead of re-migrating the stale file.
-	if err := os.Remove(filepath.Join(dir, "meta.commit")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "root of trust") {
-		t.Fatalf("lost commit after legacy debris sweep not refused: %v", err)
+	if len(des) != 1 {
+		t.Fatalf("refused open left %d entries in the directory, want only meta.db", len(des))
 	}
 }
 

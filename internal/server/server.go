@@ -282,7 +282,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeSyncStats(w, st)
+	writeJSON(w, wire.NewSyncStats(st))
 }
 
 // handleCompact forces compaction of both stores (metadata WAL snapshot
@@ -294,7 +294,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeSyncStats(w, st)
+	writeJSON(w, wire.NewSyncStats(st))
 }
 
 // handleVacuum reclaims dangling repository state (unreferenced
@@ -306,28 +306,7 @@ func (s *Server) handleVacuum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, wire.VacuumStats{
-		PackagesRemoved: st.PackagesRemoved,
-		UserDataRemoved: st.UserDataRemoved,
-		MetaRemoved:     st.MetaRemoved,
-		BlobsReleased:   st.BlobsReleased,
-		BytesReclaimed:  st.BytesReclaimed,
-	})
-}
-
-func writeSyncStats(w http.ResponseWriter, st vmirepo.SyncStats) {
-	writeJSON(w, wire.SyncStats{
-		Segments:          st.Blobs.Segments,
-		SegmentBytes:      st.Blobs.SegmentBytes,
-		IndexBytes:        st.Blobs.IndexBytes,
-		MetaBytes:         st.MetaBytes,
-		MetaOps:           st.MetaOps,
-		Compacted:         st.Compacted,
-		MetaSnapshotBytes: st.MetaSnapshotBytes,
-		SegmentsCompacted: st.Blobs.SegmentsCompacted,
-		BytesReclaimed:    st.Blobs.BytesReclaimed,
-		DeadBytes:         st.Blobs.DeadBytes,
-	})
+	writeJSON(w, st)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -131,32 +131,37 @@ func TestConcurrentDistinctPackages(t *testing.T) {
 // TestSnapshotConsistentUnderTraffic takes snapshots while packages are
 // being stored; every snapshot must Load and every loaded package record
 // must have its blob (the blob/db sections are mutually consistent).
+// Each round runs a fixed batch of concurrent stores around its snapshot,
+// so the repository grows linearly with the rounds rather than with how
+// fast the writers outrun the O(repo) verification.
 func TestSnapshotConsistentUnderTraffic(t *testing.T) {
+	const writers, rounds, perRound = 4, 15, 200
 	r := testRepo()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p := testPkg(fmt.Sprintf("traffic-%d-%d", w, i))
-				blob := []byte(fmt.Sprintf("blob %d %d", w, i))
-				if _, err := r.EnsurePackage(p, blob, nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
 	dev := simio.NewDevice(simio.PaperProfile())
-	for i := 0; i < 15; i++ {
+	for i := 0; i < rounds; i++ {
+		var started, wg sync.WaitGroup
+		started.Add(writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := 0; j < perRound; j++ {
+					p := testPkg(fmt.Sprintf("traffic-%d-%d-%d", i, w, j))
+					blob := []byte(fmt.Sprintf("blob %d %d %d", i, w, j))
+					_, err := r.EnsurePackage(p, blob, nil)
+					if j == 0 {
+						started.Done()
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		started.Wait()
 		snap, err := r.Snapshot()
+		wg.Wait()
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
@@ -174,8 +179,6 @@ func TestSnapshotConsistentUnderTraffic(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestPutUserDataReplaceReclaims republishes user data under one name and

@@ -291,7 +291,8 @@ type OpenOptions struct {
 // OpenAt creates or reopens a disk-backed repository rooted at dir with
 // default options: blobs live in dir/blobs (append-only segments + index,
 // see diskstore), the metadata database in the dir's snapshot + WAL pair
-// (see metawal; a legacy meta.db layout is migrated on first open).
+// (see metawal; a directory holding only a pre-WAL meta.db image is
+// refused, and the file left untouched).
 // Reopening runs blob crash recovery and metadata WAL replay; call Sync
 // to make later work durable.
 func OpenAt(dir string, dev *simio.Device) (*Repo, error) {

@@ -2,7 +2,8 @@
 // the repository server (internal/server) and its client
 // (internal/client): the streaming image envelope that carries a VMI
 // upload, and the JSON result types the server returns for each
-// operation.
+// operation. Each result record is defined once, here or in core; the
+// public facade re-exports these types rather than mirroring them.
 //
 // The image envelope is designed so both sides can stream it:
 //
@@ -34,6 +35,7 @@ import (
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
+	"expelliarmus/internal/vmirepo"
 )
 
 // Magic opens every image envelope.
@@ -163,17 +165,23 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 	return img, PublishMeta{Tenant: hdr.Tenant, ExpiresAt: hdr.ExpiresAt}, nil
 }
 
-// PublishResult is the server's reply to a publish.
+// PublishResult reports a publish operation: the server's reply to a
+// publish, and the facade's result type.
 type PublishResult struct {
+	// Similarity is SimG against the best-matching master graph.
 	Similarity float64
-	Exported   []string
-	Skipped    int
+	// Exported lists the packages stored by this publish.
+	Exported []string
+	// Skipped counts packages already in the repository.
+	Skipped int
+	// BaseStored reports whether a new base image was stored.
 	BaseStored bool
-	Seconds    float64
-	Phases     map[string]float64
+	// Seconds is the modeled publish time; Phases decomposes it.
+	Seconds float64
+	Phases  map[string]float64
 }
 
-// NewPublishResult flattens a core publish report for the wire.
+// NewPublishResult flattens a core publish report.
 func NewPublishResult(rep *core.PublishReport) *PublishResult {
 	return &PublishResult{
 		Similarity: rep.Similarity,
@@ -185,16 +193,19 @@ func NewPublishResult(rep *core.PublishReport) *PublishResult {
 	}
 }
 
-// RetrieveResult is the server's reply to a retrieval or assembly. For
+// RetrieveResult reports a retrieval or assembly: the server's reply (for
 // streamed responses it rides in the X-Expel-Result trailer, after the
-// image bytes.
+// image bytes), and the facade's result type.
 type RetrieveResult struct {
+	// Imported lists the packages installed during assembly.
 	Imported []string
-	Seconds  float64
-	Phases   map[string]float64
+	// Seconds is the modeled retrieval time; Phases decomposes it into the
+	// paper's Fig. 5a components (copy, launch, reset, import, ...).
+	Seconds float64
+	Phases  map[string]float64
 }
 
-// NewRetrieveResult flattens a core retrieve report for the wire.
+// NewRetrieveResult flattens a core retrieve report.
 func NewRetrieveResult(rep *core.RetrieveReport) *RetrieveResult {
 	return &RetrieveResult{
 		Imported: append([]string(nil), rep.Imported...),
@@ -277,31 +288,59 @@ type ReplicationStats struct {
 	WriterURL string
 }
 
-// SyncStats is the server's reply to a sync or compact: the durable-save
-// breakdown of a disk-backed repository (see the facade's SyncStats for
-// field semantics).
+// SyncStats reports one durable save of a disk-backed repository: the
+// server's reply to a sync or compact, and the facade's Sync result.
 type SyncStats struct {
-	Segments          int
-	SegmentBytes      int64
-	IndexBytes        int64
-	MetaBytes         int64
+	// Segments and SegmentBytes describe the incremental blob flush: only
+	// bytes appended since the previous Sync are written, so a Sync after
+	// publishing one image costs that image, not the whole store. Segments
+	// counts segment flushes — a file flushed in both phases of the
+	// repository sync (new blobs, then release records) counts twice,
+	// while SegmentBytes never double-counts a byte.
+	Segments     int
+	SegmentBytes int64
+	// IndexBytes is the blob index image committed atomically alongside.
+	// MetaBytes is the metadata bytes this sync committed: the WAL delta
+	// (framed mutation records plus one commit marker) on the hot path,
+	// or the fresh full snapshot on a compacting sync — never a full
+	// metadata rewrite for an incremental delta.
+	IndexBytes int64
+	MetaBytes  int64
+	// MetaOps counts the metadata mutations committed; Compacted reports
+	// that the metadata WAL was rewritten into a fresh snapshot of
+	// MetaSnapshotBytes (zero otherwise).
 	MetaOps           int
 	Compacted         bool
 	MetaSnapshotBytes int64
+	// SegmentsCompacted and BytesReclaimed report blob segment compaction
+	// this sync performed (automatically past the dead-ratio threshold, or
+	// because Compact forced it): segments evacuated and the file bytes
+	// their retirement freed. DeadBytes is the garbage still on disk after
+	// — record bytes of released blobs whose segments have not yet crossed
+	// the threshold.
 	SegmentsCompacted int
 	BytesReclaimed    int64
 	DeadBytes         int64
 }
 
-// VacuumStats is the server's reply to a vacuum: what the pass reclaimed
-// (see core.VacuumStats for field semantics).
-type VacuumStats struct {
-	PackagesRemoved int
-	UserDataRemoved int
-	MetaRemoved     int
-	BlobsReleased   int
-	BytesReclaimed  int64
+// NewSyncStats flattens a repository sync report.
+func NewSyncStats(st vmirepo.SyncStats) SyncStats {
+	return SyncStats{
+		Segments:          st.Blobs.Segments,
+		SegmentBytes:      st.Blobs.SegmentBytes,
+		IndexBytes:        st.Blobs.IndexBytes,
+		MetaBytes:         st.MetaBytes,
+		MetaOps:           st.MetaOps,
+		Compacted:         st.Compacted,
+		MetaSnapshotBytes: st.MetaSnapshotBytes,
+		SegmentsCompacted: st.Blobs.SegmentsCompacted,
+		BytesReclaimed:    st.Blobs.BytesReclaimed,
+		DeadBytes:         st.Blobs.DeadBytes,
+	}
 }
+
+// VacuumStats is the server's reply to a vacuum: what the pass reclaimed.
+type VacuumStats = core.VacuumStats
 
 // AssembleRequest asks the server to build a VMI from stored packages
 // (Algorithm 3 without a prior upload of this exact image).
