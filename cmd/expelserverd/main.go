@@ -173,7 +173,17 @@ func main() {
 	if rep != nil {
 		h.SetReplica(rep)
 	}
-	srv := &http.Server{Handler: h}
+	// Fixed bounds for what a client can hold open or send before a
+	// handler runs; request bodies stream, so there is no body timeout.
+	// IdleTimeout stays above internal/client's 90 s idle-connection
+	// timeout, so the client retires a pooled connection before the
+	// server closes it under a publish that could not be retried.
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
 	serveErr := make(chan error, 1)
 	go func() {
 		if *tlsCert != "" {

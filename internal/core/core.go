@@ -1227,15 +1227,26 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	if err := fetchDone(); err != nil {
 		return nil, err
 	}
+	pkgs, err := mgr.Installed()
+	if err != nil {
+		return nil, err
+	}
+	installed := make(map[string]bool, len(pkgs)+len(flat))
+	for _, p := range pkgs {
+		installed[p.Name] = true
+	}
 	for _, group := range order {
 		for _, pkgName := range group {
+			// Drop the payload once consumed: the import loop should hold
+			// one package at a time, not the whole prefetched set.
 			blob := blobs[blobAt[pkgName]]
+			blobs[blobAt[pkgName]] = nil
 			v, _ := psUnion.Vertex(pkgName)
 			local := path.Join(localRepoDir, pkgName+".deb")
 			if err := fs.WriteFile(local, blob); err != nil {
 				return nil, err
 			}
-			if mgr.IsInstalled(pkgName) {
+			if installed[pkgName] {
 				// Already present (e.g. imported by an earlier group).
 				fs.Remove(local)
 				continue
@@ -1243,6 +1254,7 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 			if err := mgr.Install(blob); err != nil {
 				return nil, err
 			}
+			installed[pkgName] = true
 			rep.Meter.Charge(simio.PhaseImport,
 				s.dev.InstallCost(catalog.Real(v.Pkg.InstalledSize), 1))
 			rep.Imported = append(rep.Imported, pkgName)

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"path"
 	"sort"
 	"strings"
@@ -61,7 +62,14 @@ type FileInfo struct {
 	IsDir bool
 }
 
-// FS is a mounted filesystem. It is not safe for concurrent use.
+// FS is a mounted filesystem. It is not safe for concurrent use, except
+// that read-only methods (ReadFile, ReadDir, Stat, Exists, Walk) may run
+// concurrently with each other: publish repacks packages in parallel.
+//
+// Allocation runs on two in-memory indexes, so its cost does not grow
+// with how full the filesystem is: the block bitmap (a mirror of the
+// on-disk one, written through, padded to whole 64-bit words) and a
+// used-inode bitmap (derived from the inode table's modes, never stored).
 type FS struct {
 	disk       *vdisk.Disk
 	blockSize  int
@@ -70,10 +78,28 @@ type FS struct {
 	inodeBlk   uint32 // blocks used by the inode table
 	maxInodes  uint32
 	dataStart  uint32
-	bitmap     []byte // in-memory mirror, written through
+	bitmap     []byte   // in-memory mirror, written through
+	inodesUsed []uint64 // bit i set: inode i is not modeFree
 	usedBlocks uint32
 	files      int
 	dirs       int
+}
+
+// emptyFS returns an FS over d with its in-memory indexes sized (and
+// zeroed) for the given geometry.
+func emptyFS(d *vdisk.Disk, total, bitmapBlk, inodeBlk, maxInodes uint32) *FS {
+	bs := d.ClusterSize()
+	return &FS{
+		disk:       d,
+		blockSize:  bs,
+		total:      total,
+		bitmapBlk:  bitmapBlk,
+		inodeBlk:   inodeBlk,
+		maxInodes:  maxInodes,
+		dataStart:  1 + bitmapBlk + inodeBlk,
+		bitmap:     make([]byte, (int(bitmapBlk)*bs+7)&^7),
+		inodesUsed: make([]uint64, (maxInodes+63)/64),
+	}
 }
 
 // Format creates a fresh filesystem on the disk, sized for maxInodes files
@@ -90,16 +116,7 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 	if dataStart >= total {
 		return nil, fmt.Errorf("fstree: metadata (%d blocks) exceeds disk (%d blocks)", dataStart, total)
 	}
-	fs := &FS{
-		disk:      d,
-		blockSize: bs,
-		total:     total,
-		bitmapBlk: bitmapBlk,
-		inodeBlk:  inodeBlk,
-		maxInodes: maxInodes,
-		dataStart: dataStart,
-		bitmap:    make([]byte, int(bitmapBlk)*bs),
-	}
+	fs := emptyFS(d, total, bitmapBlk, inodeBlk, maxInodes)
 	// Reserve metadata blocks.
 	for b := uint32(0); b < dataStart; b++ {
 		fs.bitmap[b/8] |= 1 << (b % 8)
@@ -142,36 +159,45 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		return nil, fmt.Errorf("fstree: superblock block size %d != cluster size %d",
 			binary.BigEndian.Uint32(sb[4:]), bs)
 	}
-	fs := &FS{
-		disk:      d,
-		blockSize: bs,
-		total:     binary.BigEndian.Uint32(sb[8:]),
-		bitmapBlk: binary.BigEndian.Uint32(sb[12:]),
-		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
-		maxInodes: binary.BigEndian.Uint32(sb[20:]),
+	total, bitmapBlk := binary.BigEndian.Uint32(sb[8:]), binary.BigEndian.Uint32(sb[12:])
+	inodeBlk, maxInodes := binary.BigEndian.Uint32(sb[16:]), binary.BigEndian.Uint32(sb[20:])
+	if uint64(total)*uint64(bs) > uint64(d.VirtualSize()) ||
+		uint64(bitmapBlk)*uint64(bs)*8 < uint64(total) ||
+		uint64(inodeBlk)*uint64(bs) < uint64(maxInodes)*inodeSize ||
+		1+uint64(bitmapBlk)+uint64(inodeBlk) >= uint64(total) {
+		return nil, fmt.Errorf("fstree: inconsistent superblock (%d blocks, %d bitmap, %d inode table, %d inodes)",
+			total, bitmapBlk, inodeBlk, maxInodes)
 	}
-	fs.dataStart = 1 + fs.bitmapBlk + fs.inodeBlk
-	fs.bitmap = make([]byte, int(fs.bitmapBlk)*bs)
-	if _, err := d.ReadAt(fs.bitmap, int64(bs)); err != nil {
+	fs := emptyFS(d, total, bitmapBlk, inodeBlk, maxInodes)
+	if _, err := d.ReadAt(fs.bitmap[:int(fs.bitmapBlk)*bs], int64(bs)); err != nil {
 		return nil, fmt.Errorf("fstree: read bitmap: %w", err)
 	}
-	for b := uint32(0); b < fs.total; b++ {
-		if fs.bitmap[b/8]&(1<<(b%8)) != 0 {
-			fs.usedBlocks++
-		}
+	for i := range len(fs.bitmap) / 8 {
+		fs.usedBlocks += uint32(bits.OnesCount64(fs.blockWord(uint32(i)) & fs.inRange(uint32(i))))
 	}
-	// Count files and directories.
+	// Index used inodes and count files and directories, one inode-table
+	// block per read.
+	buf := make([]byte, max(bs, inodeSize))
 	for i := uint32(0); i < fs.maxInodes; i++ {
-		ino, err := fs.readInode(i)
-		if err != nil {
-			return nil, err
+		slot := int(i) * inodeSize % len(buf)
+		if slot == 0 {
+			if _, err := d.ReadAt(buf, fs.inodeOffset(i)); err != nil {
+				return nil, err
+			}
 		}
-		switch ino.mode {
+		raw := buf[slot : slot+inodeSize]
+		if n := raw[1]; n > maxExtents {
+			return nil, fmt.Errorf("fstree: inode %d corrupt extent count %d", i, n)
+		}
+		switch raw[0] {
+		case modeFree:
+			continue
 		case modeFile:
 			fs.files++
 		case modeDir:
 			fs.dirs++
 		}
+		fs.inodesUsed[i/64] |= 1 << (i % 64)
 	}
 	return fs, nil
 }
@@ -216,12 +242,15 @@ func (fs *FS) readInode(num uint32) (*inode, error) {
 	if n > maxExtents {
 		return nil, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, n)
 	}
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		ino.extents = make([]extent, n)
+	}
+	for i := range ino.extents {
 		base := 10 + i*8
-		ino.extents = append(ino.extents, extent{
+		ino.extents[i] = extent{
 			start:  binary.BigEndian.Uint32(raw[base:]),
 			blocks: binary.BigEndian.Uint32(raw[base+4:]),
-		})
+		}
 	}
 	return ino, nil
 }
@@ -242,18 +271,25 @@ func (fs *FS) writeInode(num uint32, ino *inode) error {
 		binary.BigEndian.PutUint32(raw[base:], e.start)
 		binary.BigEndian.PutUint32(raw[base+4:], e.blocks)
 	}
-	_, err := fs.disk.WriteAt(raw, fs.inodeOffset(num))
-	return err
+	if _, err := fs.disk.WriteAt(raw, fs.inodeOffset(num)); err != nil {
+		return err
+	}
+	if ino.mode == modeFree {
+		fs.inodesUsed[num/64] &^= 1 << (num % 64)
+	} else {
+		fs.inodesUsed[num/64] |= 1 << (num % 64)
+	}
+	return nil
 }
 
+// allocInode returns the lowest-numbered free inode.
 func (fs *FS) allocInode() (uint32, error) {
-	for i := uint32(0); i < fs.maxInodes; i++ {
-		ino, err := fs.readInode(i)
-		if err != nil {
-			return 0, err
-		}
-		if ino.mode == modeFree {
-			return i, nil
+	for i, w := range fs.inodesUsed {
+		if w != ^uint64(0) {
+			if num := uint32(i*64 + bits.TrailingZeros64(^w)); num < fs.maxInodes {
+				return num, nil
+			}
+			break
 		}
 	}
 	return 0, fmt.Errorf("fstree: out of inodes (%d)", fs.maxInodes)
@@ -261,7 +297,42 @@ func (fs *FS) allocInode() (uint32, error) {
 
 // --- block allocation ---
 
-func (fs *FS) blockUsed(b uint32) bool { return fs.bitmap[b/8]&(1<<(b%8)) != 0 }
+// blockWord returns the bitmap bits of blocks [64i, 64i+64), block b at
+// bit b%64 (the on-disk layout: byte b/8, bit b%8).
+func (fs *FS) blockWord(i uint32) uint64 {
+	return binary.LittleEndian.Uint64(fs.bitmap[i*8:])
+}
+
+// inRange masks the bits of word i that name blocks below fs.total.
+func (fs *FS) inRange(i uint32) uint64 {
+	if end := fs.total - min(fs.total, i*64); end < 64 {
+		return 1<<end - 1
+	}
+	return ^uint64(0)
+}
+
+// nextBlock returns the first block at or after b whose used bit equals
+// used, or fs.total if there is none.
+func (fs *FS) nextBlock(b uint32, used bool) uint32 {
+	for b < fs.total {
+		w := fs.blockWord(b / 64)
+		if !used {
+			w = ^w
+		}
+		if w >>= b % 64; w != 0 {
+			return min(b+uint32(bits.TrailingZeros64(w)), fs.total)
+		}
+		b = (b/64 + 1) * 64
+	}
+	return fs.total
+}
+
+// nextFreeRun returns the first free run starting at or after b; a run of
+// zero blocks means there is none.
+func (fs *FS) nextFreeRun(b uint32) extent {
+	start := fs.nextBlock(b, false)
+	return extent{start: start, blocks: fs.nextBlock(start, true) - start}
+}
 
 func (fs *FS) setBlocks(start, n uint32, used bool) error {
 	for b := start; b < start+n; b++ {
@@ -303,65 +374,55 @@ func (fs *FS) allocExtents(n uint32) ([]extent, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Collect all free runs.
-	var runs []extent
-	b := fs.dataStart
-	for b < fs.total {
-		for b < fs.total && fs.blockUsed(b) {
-			b++
-		}
-		if b >= fs.total {
-			break
-		}
-		start := b
-		for b < fs.total && !fs.blockUsed(b) {
-			b++
-		}
-		runs = append(runs, extent{start: start, blocks: b - start})
-	}
-	var out []extent
-	contiguous := false
-	for _, r := range runs {
-		if r.blocks >= n {
-			out = []extent{{start: r.start, blocks: n}}
-			contiguous = true
-			break
-		}
-	}
-	if !contiguous {
-		// Largest runs first (ties: lowest start) to minimise extent count.
-		sort.Slice(runs, func(i, j int) bool {
-			if runs[i].blocks != runs[j].blocks {
-				return runs[i].blocks > runs[j].blocks
-			}
-			return runs[i].start < runs[j].start
-		})
-		remaining := n
-		for _, r := range runs {
-			if remaining == 0 {
-				break
-			}
-			take := r.blocks
-			if take > remaining {
-				take = remaining
-			}
-			out = append(out, extent{start: r.start, blocks: take})
-			remaining -= take
-			if len(out) > maxExtents {
-				return nil, fmt.Errorf("fstree: file too fragmented (> %d extents for %d blocks)", maxExtents, n)
-			}
-		}
-		if remaining > 0 {
-			return nil, fmt.Errorf("fstree: no space (%d blocks short of %d)", remaining, n)
-		}
-		// Keep extents in disk order for readability and determinism.
-		sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
+	out, err := fs.placeExtents(n)
+	if err != nil {
+		return nil, err
 	}
 	for _, e := range out {
 		if err := fs.setBlocks(e.start, e.blocks, true); err != nil {
 			return nil, err
 		}
 	}
+	return out, nil
+}
+
+// placeExtents chooses allocExtents' placement for n > 0 blocks
+// without taking them.
+func (fs *FS) placeExtents(n uint32) ([]extent, error) {
+	for r := fs.nextFreeRun(fs.dataStart); r.blocks > 0; r = fs.nextFreeRun(r.start + r.blocks) {
+		if r.blocks >= n {
+			return []extent{{start: r.start, blocks: n}}, nil
+		}
+	}
+	var runs []extent
+	for r := fs.nextFreeRun(fs.dataStart); r.blocks > 0; r = fs.nextFreeRun(r.start + r.blocks) {
+		runs = append(runs, r)
+	}
+	// Largest runs first (ties: lowest start) to minimise extent count.
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].blocks != runs[j].blocks {
+			return runs[i].blocks > runs[j].blocks
+		}
+		return runs[i].start < runs[j].start
+	})
+	var out []extent
+	remaining := n
+	for _, r := range runs {
+		if remaining == 0 {
+			break
+		}
+		take := min(r.blocks, remaining)
+		out = append(out, extent{start: r.start, blocks: take})
+		remaining -= take
+		if len(out) > maxExtents {
+			return nil, fmt.Errorf("fstree: file too fragmented (> %d extents for %d blocks)", maxExtents, n)
+		}
+	}
+	if remaining > 0 {
+		return nil, fmt.Errorf("fstree: no space (%d blocks short of %d)", remaining, n)
+	}
+	// Keep extents in disk order for readability and determinism.
+	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
 	return out, nil
 }
 
@@ -379,22 +440,21 @@ func (fs *FS) freeExtents(extents []extent) error {
 // --- data I/O ---
 
 func (fs *FS) readData(ino *inode) ([]byte, error) {
-	out := make([]byte, 0, ino.size)
-	remaining := ino.size
+	var covered int64
 	for _, e := range ino.extents {
-		span := int64(e.blocks) * int64(fs.blockSize)
-		if span > remaining {
-			span = remaining
-		}
-		buf := make([]byte, span)
-		if _, err := fs.disk.ReadAt(buf, int64(e.start)*int64(fs.blockSize)); err != nil {
+		covered += int64(e.blocks) * int64(fs.blockSize)
+	}
+	if covered < ino.size {
+		return nil, fmt.Errorf("fstree: inode extents cover %d bytes short of size %d", ino.size-covered, ino.size)
+	}
+	out := make([]byte, ino.size)
+	off := int64(0)
+	for _, e := range ino.extents {
+		span := min(int64(e.blocks)*int64(fs.blockSize), ino.size-off)
+		if _, err := fs.disk.ReadAt(out[off:off+span], int64(e.start)*int64(fs.blockSize)); err != nil {
 			return nil, err
 		}
-		out = append(out, buf...)
-		remaining -= span
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("fstree: inode extents cover %d bytes short of size %d", remaining, ino.size)
+		off += span
 	}
 	return out, nil
 }
@@ -437,53 +497,51 @@ type dirent struct {
 	name string
 }
 
+// scanDirent decodes the directory entry at the start of data — a 4-byte
+// inode number, a mode byte, a uvarint name length and the name — and
+// returns it with its name still in data, plus the data after it.
+func scanDirent(data []byte) (ino uint32, mode byte, name, rest []byte, err error) {
+	if len(data) < 5 {
+		return 0, 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	nameLen, n := binary.Uvarint(data[5:])
+	if n <= 0 {
+		return 0, 0, nil, nil, fmt.Errorf("bad entry name length")
+	}
+	rest = data[5+n:]
+	if nameLen > uint64(len(rest)) {
+		return 0, 0, nil, nil, fmt.Errorf("entry name length %d exceeds remaining %d", nameLen, len(rest))
+	}
+	return binary.BigEndian.Uint32(data), data[4], rest[:nameLen], rest[nameLen:], nil
+}
+
 func parseDir(data []byte) ([]dirent, error) {
-	var out []dirent
-	r := bytes.NewReader(data)
-	for r.Len() > 0 {
-		var hdr [5]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	count := 0
+	for rest := data; len(rest) > 0; count++ {
+		var err error
+		if _, _, _, rest, err = scanDirent(rest); err != nil {
 			return nil, err
 		}
-		nameLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > uint64(r.Len()) {
-			return nil, fmt.Errorf("entry name length %d exceeds remaining %d", nameLen, r.Len())
-		}
-		name := make([]byte, nameLen)
-		if nameLen > 0 {
-			if _, err := io.ReadFull(r, name); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, dirent{
-			ino:  binary.BigEndian.Uint32(hdr[:4]),
-			mode: hdr[4],
-			name: string(name),
-		})
+	}
+	out := make([]dirent, count)
+	for i := range out {
+		ino, mode, name, rest, _ := scanDirent(data)
+		out[i] = dirent{ino: ino, mode: mode, name: string(name)}
+		data = rest
 	}
 	return out, nil
 }
 
-func encodeDir(entries []dirent) []byte {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	for _, e := range entries {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], e.ino)
-		hdr[4] = e.mode
-		buf.Write(hdr[:])
-		n := binary.PutUvarint(tmp[:], uint64(len(e.name)))
-		buf.Write(tmp[:n])
-		buf.WriteString(e.name)
-	}
-	return buf.Bytes()
+// appendDirent appends e's encoding to buf.
+func appendDirent(buf []byte, e dirent) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, e.ino)
+	buf = append(buf, e.mode)
+	buf = binary.AppendUvarint(buf, uint64(len(e.name)))
+	return append(buf, e.name...)
 }
 
-func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
+// readDir returns directory num's encoded entries and its inode.
+func (fs *FS) readDir(num uint32) ([]byte, *inode, error) {
 	ino, err := fs.readInode(num)
 	if err != nil {
 		return nil, nil, err
@@ -495,6 +553,14 @@ func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return data, ino, nil
+}
+
+func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
+	data, ino, err := fs.readDir(num)
+	if err != nil {
+		return nil, nil, err
+	}
 	entries, err := parseDir(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fstree: corrupt directory %d: %w", num, err)
@@ -502,8 +568,60 @@ func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 	return entries, ino, nil
 }
 
-func (fs *FS) writeDirents(num uint32, ino *inode, entries []dirent) error {
-	if err := fs.writeData(ino, encodeDir(entries)); err != nil {
+// dirSlot is where a name sits, or would sit, in a directory's encoded
+// entries. Every write keeps entries sorted by name, so an entry can be
+// added or dropped by splicing its bytes, leaving the same encoding a
+// full re-encode of the sorted entries would produce.
+type dirSlot struct {
+	data  []byte // the directory's encoded entries
+	ino   *inode // the directory's inode
+	e     dirent // the entry, when found
+	start int    // the entry's offset in data, or where it belongs
+	end   int    // the end of the entry's bytes, when found
+	found bool
+}
+
+// findIn looks up name in directory dir, scanning its entries without
+// decoding the others.
+func (fs *FS) findIn(dir uint32, name string) (dirSlot, error) {
+	data, ino, err := fs.readDir(dir)
+	if err != nil {
+		return dirSlot{}, err
+	}
+	s := dirSlot{data: data, ino: ino, start: len(data)}
+	for off := 0; off < len(data); {
+		num, mode, n, rest, err := scanDirent(data[off:])
+		if err != nil {
+			return dirSlot{}, fmt.Errorf("fstree: corrupt directory %d: %w", dir, err)
+		}
+		if string(n) >= name {
+			s.start = off
+			if string(n) == name {
+				s.e = dirent{ino: num, mode: mode, name: name}
+				s.end, s.found = len(data)-len(rest), true
+			}
+			break
+		}
+		off = len(data) - len(rest)
+	}
+	return s, nil
+}
+
+// insert returns the directory's entries with e added at the slot.
+func (s dirSlot) insert(e dirent) []byte {
+	out := make([]byte, 0, len(s.data)+5+binary.MaxVarintLen64+len(e.name))
+	out = appendDirent(append(out, s.data[:s.start]...), e)
+	return append(out, s.data[s.start:]...)
+}
+
+// remove returns the directory's entries without the slot's entry.
+func (s dirSlot) remove() []byte {
+	return append(s.data[:s.start], s.data[s.end:]...)
+}
+
+// writeDir replaces directory num's entries with data.
+func (fs *FS) writeDir(num uint32, ino *inode, data []byte) error {
+	if err := fs.writeData(ino, data); err != nil {
 		return err
 	}
 	return fs.writeInode(num, ino)
@@ -518,6 +636,23 @@ func splitPath(p string) ([]string, error) {
 	return strings.Split(strings.TrimPrefix(clean, "/"), "/"), nil
 }
 
+// resolve returns the inode number the path components parts lead to
+// from the root; p names the path in errors.
+func (fs *FS) resolve(p string, parts []string) (uint32, error) {
+	cur := RootInode
+	for _, part := range parts {
+		s, err := fs.findIn(cur, part)
+		if err != nil {
+			return 0, err
+		}
+		if !s.found {
+			return 0, fmt.Errorf("fstree: %s: no such file or directory", p)
+		}
+		cur = s.e.ino
+	}
+	return cur, nil
+}
+
 // lookup resolves a path to (inode number, inode). The root resolves to
 // RootInode.
 func (fs *FS) lookup(p string) (uint32, *inode, error) {
@@ -525,23 +660,9 @@ func (fs *FS) lookup(p string) (uint32, *inode, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	cur := RootInode
-	for _, part := range parts {
-		entries, _, err := fs.readDirents(cur)
-		if err != nil {
-			return 0, nil, err
-		}
-		found := false
-		for _, e := range entries {
-			if e.name == part {
-				cur = e.ino
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, nil, fmt.Errorf("fstree: %s: no such file or directory", p)
-		}
+	cur, err := fs.resolve(p, parts)
+	if err != nil {
+		return 0, nil, err
 	}
 	ino, err := fs.readInode(cur)
 	if err != nil {
@@ -573,23 +694,14 @@ func (fs *FS) MkdirAll(p string) error {
 	}
 	cur := RootInode
 	for _, part := range parts {
-		entries, ino, err := fs.readDirents(cur)
+		s, err := fs.findIn(cur, part)
 		if err != nil {
 			return err
 		}
-		var next uint32
-		found := false
-		for _, e := range entries {
-			if e.name == part {
-				if e.mode != modeDir {
-					return fmt.Errorf("fstree: %s: %q exists and is not a directory", p, part)
-				}
-				next = e.ino
-				found = true
-				break
-			}
+		if s.found && s.e.mode != modeDir {
+			return fmt.Errorf("fstree: %s: %q exists and is not a directory", p, part)
 		}
-		if !found {
+		if !s.found {
 			num, err := fs.allocInode()
 			if err != nil {
 				return err
@@ -597,14 +709,13 @@ func (fs *FS) MkdirAll(p string) error {
 			if err := fs.writeInode(num, &inode{mode: modeDir}); err != nil {
 				return err
 			}
-			entries = append(entries, dirent{ino: num, mode: modeDir, name: part})
-			if err := fs.writeDirents(cur, ino, entries); err != nil {
+			if err := fs.writeDir(cur, s.ino, s.insert(dirent{ino: num, mode: modeDir, name: part})); err != nil {
 				return err
 			}
 			fs.dirs++
-			next = num
+			s.e.ino = num
 		}
-		cur = next
+		cur = s.e.ino
 	}
 	return nil
 }
@@ -619,31 +730,24 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("fstree: cannot write to /")
 	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	name := parts[len(parts)-1]
-	dirNum, _, err := fs.lookup(dir)
+	dir, name := parts[:len(parts)-1], parts[len(parts)-1]
+	dirNum, s, err := fs.findParent(dir, name)
 	if err != nil {
 		return fmt.Errorf("fstree: parent of %s: %w", p, err)
 	}
-	entries, dirIno, err := fs.readDirents(dirNum)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.name == name {
-			if e.mode == modeDir {
-				return fmt.Errorf("fstree: %s is a directory", p)
-			}
-			// Replace contents in place.
-			ino, err := fs.readInode(e.ino)
-			if err != nil {
-				return err
-			}
-			if err := fs.writeData(ino, data); err != nil {
-				return err
-			}
-			return fs.writeInode(e.ino, ino)
+	if s.found {
+		if s.e.mode == modeDir {
+			return fmt.Errorf("fstree: %s is a directory", p)
 		}
+		// Replace contents in place.
+		ino, err := fs.readInode(s.e.ino)
+		if err != nil {
+			return err
+		}
+		if err := fs.writeData(ino, data); err != nil {
+			return err
+		}
+		return fs.writeInode(s.e.ino, ino)
 	}
 	num, err := fs.allocInode()
 	if err != nil {
@@ -656,12 +760,22 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err := fs.writeInode(num, ino); err != nil {
 		return err
 	}
-	entries = append(entries, dirent{ino: num, mode: modeFile, name: name})
-	if err := fs.writeDirents(dirNum, dirIno, entries); err != nil {
+	if err := fs.writeDir(dirNum, s.ino, s.insert(dirent{ino: num, mode: modeFile, name: name})); err != nil {
 		return err
 	}
 	fs.files++
 	return nil
+}
+
+// findParent resolves the directory whose path components are dir and
+// finds name's slot in it.
+func (fs *FS) findParent(dir []string, name string) (uint32, dirSlot, error) {
+	num, err := fs.resolve("/"+strings.Join(dir, "/"), dir)
+	if err != nil {
+		return 0, dirSlot{}, err
+	}
+	s, err := fs.findIn(num, name)
+	return num, s, err
 }
 
 // ReadFile returns the contents of the file at p.
@@ -714,46 +828,37 @@ func (fs *FS) Remove(p string) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("fstree: cannot remove /")
 	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	name := parts[len(parts)-1]
-	dirNum, _, err := fs.lookup(dir)
+	dir, name := parts[:len(parts)-1], parts[len(parts)-1]
+	dirNum, s, err := fs.findParent(dir, name)
 	if err != nil {
 		return err
 	}
-	entries, dirIno, err := fs.readDirents(dirNum)
+	if !s.found {
+		return fmt.Errorf("fstree: %s: no such file or directory", p)
+	}
+	ino, err := fs.readInode(s.e.ino)
 	if err != nil {
 		return err
 	}
-	for i, e := range entries {
-		if e.name != name {
-			continue
-		}
-		ino, err := fs.readInode(e.ino)
+	if ino.mode == modeDir {
+		children, _, err := fs.readDir(s.e.ino)
 		if err != nil {
 			return err
 		}
-		if ino.mode == modeDir {
-			children, _, err := fs.readDirents(e.ino)
-			if err != nil {
-				return err
-			}
-			if len(children) > 0 {
-				return fmt.Errorf("fstree: %s: directory not empty", p)
-			}
-			fs.dirs--
-		} else {
-			fs.files--
+		if len(children) > 0 {
+			return fmt.Errorf("fstree: %s: directory not empty", p)
 		}
-		if err := fs.freeExtents(ino.extents); err != nil {
-			return err
-		}
-		if err := fs.writeInode(e.ino, &inode{mode: modeFree}); err != nil {
-			return err
-		}
-		entries = append(entries[:i], entries[i+1:]...)
-		return fs.writeDirents(dirNum, dirIno, entries)
+		fs.dirs--
+	} else {
+		fs.files--
 	}
-	return fmt.Errorf("fstree: %s: no such file or directory", p)
+	if err := fs.freeExtents(ino.extents); err != nil {
+		return err
+	}
+	if err := fs.writeInode(s.e.ino, &inode{mode: modeFree}); err != nil {
+		return err
+	}
+	return fs.writeDir(dirNum, s.ino, s.remove())
 }
 
 // RemoveAll deletes p and, if it is a directory, everything below it.

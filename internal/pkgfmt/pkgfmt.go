@@ -19,6 +19,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"expelliarmus/internal/pkgmeta"
 )
@@ -85,14 +86,39 @@ func writeMember(tw *tar.Writer, name string, data []byte) error {
 	return err
 }
 
+// gzipReaders recycles decompressors: each carries a 32 KiB window, and
+// assembly extracts one package after another.
+var gzipReaders sync.Pool
+
+// openGzip returns a pooled gzip reader over blob; release it with
+// gzipReaders.Put once done.
+func openGzip(blob []byte) (*gzip.Reader, error) {
+	if zr, ok := gzipReaders.Get().(*gzip.Reader); ok {
+		if err := zr.Reset(bytes.NewReader(blob)); err != nil {
+			return nil, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
+		}
+		return zr, nil
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		return nil, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
+	}
+	return zr, nil
+}
+
+// maxDeflateRatio bounds how many bytes deflate can expand one
+// compressed byte into, so a member whose header claims more than
+// maxDeflateRatio times the blob cannot be genuine.
+const maxDeflateRatio = 1032
+
 // Extract decodes a binary package into its metadata and files.
 func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 	var p pkgmeta.Package
-	gz, err := gzip.NewReader(bytes.NewReader(blob))
+	gz, err := openGzip(blob)
 	if err != nil {
-		return p, nil, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
+		return p, nil, err
 	}
-	defer gz.Close()
+	defer gzipReaders.Put(gz)
 	tr := tar.NewReader(gz)
 	var files []File
 	sawControl := false
@@ -104,8 +130,11 @@ func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 		if err != nil {
 			return p, nil, fmt.Errorf("pkgfmt: corrupt archive: %w", err)
 		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
+		if hdr.Size < 0 || hdr.Size > maxDeflateRatio*int64(len(blob)) {
+			return p, nil, fmt.Errorf("pkgfmt: member %q claims %d bytes from a %d-byte package", hdr.Name, hdr.Size, len(blob))
+		}
+		data := make([]byte, hdr.Size)
+		if _, err := io.ReadFull(tr, data); err != nil {
 			return p, nil, fmt.Errorf("pkgfmt: read member %q: %w", hdr.Name, err)
 		}
 		switch {
@@ -133,11 +162,11 @@ func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 // Peek decodes only the control metadata without materialising file data.
 func Peek(blob []byte) (pkgmeta.Package, error) {
 	var p pkgmeta.Package
-	gz, err := gzip.NewReader(bytes.NewReader(blob))
+	gz, err := openGzip(blob)
 	if err != nil {
-		return p, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
+		return p, err
 	}
-	defer gz.Close()
+	defer gzipReaders.Put(gz)
 	tr := tar.NewReader(gz)
 	for {
 		hdr, err := tr.Next()

@@ -6,7 +6,6 @@
 package pkgmeta
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
 	"strconv"
@@ -91,12 +90,14 @@ func FormatControl(p Package) string {
 	return b.String()
 }
 
-// ParseControl parses a single control stanza.
+// ParseControl parses a single control stanza. Lines may end in "\n"
+// or "\r\n" and have no length limit.
 func ParseControl(s string) (Package, error) {
 	var p Package
-	sc := bufio.NewScanner(strings.NewReader(s))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line = strings.TrimSpace(line) // also drops a CRLF's "\r"
 		if line == "" {
 			continue
 		}

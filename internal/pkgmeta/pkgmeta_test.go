@@ -1,6 +1,7 @@
 package pkgmeta
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,33 @@ func TestParseControlErrors(t *testing.T) {
 	}
 	if _, err := ParseControl("Package: x\nInstalled-Size: abc\n"); err == nil {
 		t.Fatal("accepted bad Installed-Size")
+	}
+}
+
+// TestParseControlCRLFAndLongLine: CRLF line endings parse like LF, and
+// a line longer than bufio.Scanner's 64 KiB token limit is parsed rather
+// than silently ending the stanza.
+func TestParseControlCRLFAndLongLine(t *testing.T) {
+	want := samplePackage()
+	crlf := strings.ReplaceAll(FormatControl(want), "\n", "\r\n")
+	got, err := ParseControl(crlf)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("CRLF stanza parsed as %+v, %v; want %+v", got, err, want)
+	}
+
+	long := samplePackage()
+	long.Depends = nil
+	for i := 0; i < 10000; i++ {
+		long.Depends = append(long.Depends, fmt.Sprintf("libdep%05d", i))
+	}
+	long.Essential = true // the field after the long Depends line
+	stanza := FormatControl(long)
+	if len(stanza) <= 64<<10 {
+		t.Fatalf("stanza is only %d bytes; want a line past 64 KiB", len(stanza))
+	}
+	got, err = ParseControl(stanza)
+	if err != nil || !reflect.DeepEqual(got, long) {
+		t.Fatalf("long-line stanza lost fields: %d deps, essential=%v, err %v", len(got.Depends), got.Essential, err)
 	}
 }
 

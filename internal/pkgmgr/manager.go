@@ -103,14 +103,13 @@ func (m *Manager) OwnedFiles(name string) ([]string, error) {
 // InstallPackage installs metadata and files directly (the builder's fast
 // path, equivalent to unpacking a binary package).
 func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
-	pkgs, err := m.Installed()
+	status, err := m.fs.ReadFile(StatusPath)
+	if err != nil {
+		return fmt.Errorf("pkgmgr: read status: %w", err)
+	}
+	at, err := statusInsertPoint(string(status), p.Name)
 	if err != nil {
 		return err
-	}
-	for _, q := range pkgs {
-		if q.Name == p.Name {
-			return fmt.Errorf("pkgmgr: %s already installed (version %s)", p.Name, q.Version)
-		}
 	}
 	paths := make([]string, 0, len(files))
 	for _, f := range files {
@@ -127,8 +126,55 @@ func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	if err := m.fs.WriteFile(listPath(p.Name), []byte(strings.Join(paths, "\n"))); err != nil {
 		return err
 	}
-	pkgs = append(pkgs, p)
-	return m.writeStatus(pkgs)
+	// Splice p's stanza into the sorted status file: the same bytes as
+	// FormatStatus over every installed package, without re-parsing and
+	// re-formatting the others.
+	stanza := pkgmeta.FormatControl(p)
+	out := make([]byte, 0, len(status)+len(stanza)+1)
+	switch {
+	case len(status) == 0:
+		out = append(out, stanza...)
+	case at == len(status):
+		out = append(append(append(out, status...), '\n'), stanza...)
+	default:
+		out = append(append(append(out, status[:at]...), stanza...), '\n')
+		out = append(out, status[at:]...)
+	}
+	return m.fs.WriteFile(StatusPath, out)
+}
+
+// statusInsertPoint returns the offset in a status file (as FormatStatus
+// writes it: name-sorted stanzas, each opening with its Package line,
+// separated by blank lines) at which the stanza of package name belongs,
+// or an error if name is already installed.
+func statusInsertPoint(status, name string) (int, error) {
+	for off := 0; off < len(status); {
+		line, _, _ := strings.Cut(status[off:], "\n")
+		got, ok := strings.CutPrefix(line, "Package: ")
+		if !ok {
+			return 0, fmt.Errorf("pkgmgr: parse status: stanza at byte %d does not open with a Package line", off)
+		}
+		end := strings.Index(status[off:], "\n\n")
+		if got == name {
+			stanza := status[off:]
+			if end >= 0 {
+				stanza = stanza[:end]
+			}
+			q, err := pkgmeta.ParseControl(stanza)
+			if err != nil {
+				return 0, fmt.Errorf("pkgmgr: parse status: %w", err)
+			}
+			return 0, fmt.Errorf("pkgmgr: %s already installed (version %s)", name, q.Version)
+		}
+		if got > name {
+			return off, nil
+		}
+		if end < 0 {
+			break
+		}
+		off += end + 2
+	}
+	return len(status), nil
 }
 
 // Install unpacks and registers a binary package blob.

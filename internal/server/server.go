@@ -201,7 +201,7 @@ func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	img, meta, err := wire.ReadImageMeta(r.Body)
+	img, meta, err := wire.ReadImageMeta(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("decode image: %v", err), http.StatusBadRequest)
 		return

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -509,5 +510,50 @@ func TestRemoteRemoveAndSnapshot(t *testing.T) {
 	st, err := cl.Stats(ctx)
 	if err != nil || st.VMIs != 0 {
 		t.Fatalf("stats after remove = %+v, %v", st, err)
+	}
+}
+
+// TestOversizedEnvelopeRejected replays the oversized-envelope probe: a
+// publish envelope of about 60 bytes whose header claims a 1 TiB disk
+// section. With a Content-Length the server refuses it before reading
+// the section; without one (chunked) it reads what arrives and refuses
+// the short body. Either way the reply is a 4xx, the handler allocates
+// nothing near the claimed size, and the daemon still answers /v1/stats.
+func TestOversizedEnvelopeRejected(t *testing.T) {
+	sys := core.NewSystem(testDevice(), core.Options{})
+	addr, _ := startServer(t, sys)
+	hdr := []byte(`{"Name":"probe","DiskBytes":1099511627776}`)
+	env := append([]byte(wire.Magic), binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))...)
+	env = append(env, hdr...)
+	if len(env) > 64 {
+		t.Fatalf("probe envelope is %d bytes, want about 60", len(env))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range []io.Reader{
+		bytes.NewReader(env),                 // Content-Length known
+		io.MultiReader(bytes.NewReader(env)), // length unknown: chunked
+	} {
+		resp, err := http.Post("http://"+addr+"/v1/images", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("oversized envelope answered %d (%s), want 4xx", resp.StatusCode, msg)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("probes allocated %d bytes", grew)
+	}
+	resp, err := http.Get("http://" + addr + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats after the probes answered %d", resp.StatusCode)
 	}
 }

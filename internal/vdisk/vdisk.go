@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -317,25 +318,28 @@ func (d *Disk) Flatten() error {
 // across all layers: local clusters, the lazy source minus its discard
 // mask, and the backing chain — the cluster set Serialize encodes.
 func (d *Disk) effectiveIndices() []int64 {
-	set := make(map[int64]struct{})
+	n := 0
+	for disk := d; disk != nil; disk = disk.backing {
+		n += len(disk.clusters)
+		if disk.lazy != nil {
+			n += len(disk.lazy.offsets)
+		}
+	}
+	idx := make([]int64, 0, n)
 	for disk := d; disk != nil; disk = disk.backing {
 		for ci := range disk.clusters {
-			set[ci] = struct{}{}
+			idx = append(idx, ci)
 		}
 		if disk.lazy != nil {
 			for ci := range disk.lazy.offsets {
 				if _, gone := disk.dropped[ci]; !gone {
-					set[ci] = struct{}{}
+					idx = append(idx, ci)
 				}
 			}
 		}
 	}
-	idx := make([]int64, 0, len(set))
-	for ci := range set {
-		idx = append(idx, ci)
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	return idx
+	slices.Sort(idx)
+	return slices.Compact(idx)
 }
 
 // layout captures where each section of the serialized image lands. It is
@@ -544,9 +548,19 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	}
 	virtualSize := int64(binary.BigEndian.Uint64(hdr[8:]))
 	numL2 := int64(binary.BigEndian.Uint64(hdr[16:]))
+	numData := int64(binary.BigEndian.Uint64(hdr[24:]))
 
 	cs := int64(clusterSize)
+	if cs < 8 || cs > size {
+		return nil, fmt.Errorf("vdisk: cluster size %d unusable for a %d-byte image", cs, size)
+	}
+	// The table geometry must be the one Serialize derives from the
+	// virtual size, so nothing sized from the header outgrows the image.
 	entriesPerL2 := cs / 8
+	if virtualSize < 0 || numL2 < 0 || numL2 > size/8 ||
+		numL2 != ((virtualSize+cs-1)/cs+entriesPerL2-1)/entriesPerL2 {
+		return nil, fmt.Errorf("vdisk: %d L2 tables do not fit virtual size %d", numL2, virtualSize)
+	}
 	headerClusters := (int64(headerSize) + cs - 1) / cs
 	if headerClusters < 1 {
 		headerClusters = 1
@@ -563,14 +577,22 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 			return nil, fmt.Errorf("vdisk: read L1 table: %w", err)
 		}
 	}
-	offsets := make(map[int64]int64)
+	// Every L2 table and data cluster occupies its own cluster of the
+	// image, so neither count can exceed maxClusters; holding a hostile
+	// image to that keeps the work and the offset map linear in its size.
+	maxClusters := size / cs
+	offsets := make(map[int64]int64, min(max(numData, 0), maxClusters))
 	l2 := make([]byte, cs)
+	tables := int64(0)
 	for t := int64(0); t < numL2; t++ {
 		l2Off := int64(binary.BigEndian.Uint64(l1[t*8:]))
 		if l2Off == 0 {
 			continue
 		}
-		if l2Off+cs > size {
+		if tables++; tables > maxClusters {
+			return nil, fmt.Errorf("vdisk: more L2 tables than the image holds")
+		}
+		if l2Off < 0 || l2Off+cs > size {
 			return nil, fmt.Errorf("vdisk: L2 table %d out of bounds", t)
 		}
 		if _, err := ra.ReadAt(l2, l2Off); err != nil {
@@ -581,8 +603,11 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 			if dataOff == 0 {
 				continue
 			}
-			if dataOff+cs > size {
+			if dataOff < 0 || dataOff+cs > size {
 				return nil, fmt.Errorf("vdisk: cluster %d out of bounds", t*entriesPerL2+e)
+			}
+			if int64(len(offsets)) >= maxClusters {
+				return nil, fmt.Errorf("vdisk: more data clusters than the image holds")
 			}
 			offsets[t*entriesPerL2+e] = dataOff
 		}

@@ -2,6 +2,7 @@ package vdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -301,6 +302,39 @@ func TestDeserializeRejectsCorrupt(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Deserialize("x", bad); err == nil {
 		t.Fatal("accepted bad magic")
+	}
+}
+
+// TestDeserializeRejectsHostileGeometry: headers whose sizes would make
+// decoding (or a later WriteTo) allocate or loop far beyond the image's
+// own length are refused, where they used to panic or fan out.
+func TestDeserializeRejectsHostileGeometry(t *testing.T) {
+	d := mk(t, 1<<20)
+	d.WriteAt([]byte("data"), 0)
+	img := d.Serialize()
+	put := func(off int, v uint64) []byte {
+		bad := append([]byte{}, img...)
+		binary.BigEndian.PutUint64(bad[off:], v)
+		return bad
+	}
+	cases := map[string][]byte{
+		"negative virtual size":       put(12, 1<<63),
+		"virtual size without L2s":    put(12, 1<<50),
+		"L2 count overflowing the L1": put(20, 1<<61),
+	}
+	// Every L1 entry of a 64 GiB disk naming the image's one L2 table.
+	big := New("big", 64<<30, DefaultClusterSize)
+	big.WriteAt([]byte("x"), 0)
+	bimg := big.Serialize()
+	l2 := binary.BigEndian.Uint64(bimg[DefaultClusterSize:])
+	for t := 1; t < 2000; t++ {
+		binary.BigEndian.PutUint64(bimg[DefaultClusterSize+8*t:], l2)
+	}
+	cases["L1 entries sharing one L2 table"] = bimg
+	for name, bad := range cases {
+		if _, err := DeserializeLazy("x", bytes.NewReader(bad), int64(len(bad))); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

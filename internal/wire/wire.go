@@ -17,14 +17,14 @@
 // The sender produces the disk bytes with Disk.WriteTo — no whole-image
 // buffer on the way out. The receiver must materialize the disk section
 // once (publish mounts and mutates the image, so it needs random
-// access), but hands it to vdisk.DeserializeLazy so clusters are
-// directory-backed rather than copied again; the base image then streams
-// into the blob store via the repository's PutBaseReader without a
-// second materialization.
+// access). It buffers the section in fixed chunks allocated as the bytes
+// arrive, never on the header's word alone, and hands the chunks to
+// vdisk.DeserializeLazy so clusters are read from them rather than
+// copied again; the base image then streams into the blob store via the
+// repository's PutBaseReader without a second materialization.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -111,15 +111,54 @@ func WriteImageMeta(w io.Writer, img *vmi.Image, meta PublishMeta) error {
 }
 
 // ReadImage decodes one image envelope from r into a VMI. The disk
-// section is read into one owned buffer — the single materialization the
-// receiving side needs for random access — and mounted lazily over it.
+// section is read into owned chunks — the single materialization the
+// receiving side needs for random access — and mounted lazily over them.
 func ReadImage(r io.Reader) (*vmi.Image, error) {
-	img, _, err := ReadImageMeta(r)
+	img, _, err := ReadImageMeta(r, -1)
 	return img, err
 }
 
+// diskChunk is the unit the disk section is buffered in: each chunk is
+// allocated only once the previous one is full, so a header declaring a
+// huge section costs memory only as the sender backs the claim with data.
+const diskChunk = 1 << 20
+
+// chunkedDisk is a received disk section held as diskChunk-sized pieces
+// (the last one shorter), read back at random offsets.
+type chunkedDisk [][]byte
+
+// readChunked reads exactly n bytes from r into a chunkedDisk.
+func readChunked(r io.Reader, n int64) (chunkedDisk, error) {
+	var c chunkedDisk
+	for read := int64(0); read < n; {
+		chunk := make([]byte, min(n-read, diskChunk))
+		m, err := io.ReadFull(r, chunk)
+		read += int64(m)
+		if err != nil {
+			return nil, fmt.Errorf("wire: read disk (%d of %d bytes): %w", read, n, err)
+		}
+		c = append(c, chunk)
+	}
+	return c, nil
+}
+
+func (c chunkedDisk) ReadAt(p []byte, off int64) (int, error) {
+	n := 0
+	for n < len(p) {
+		i, at := (off+int64(n))/diskChunk, (off+int64(n))%diskChunk
+		if off < 0 || i >= int64(len(c)) || at >= int64(len(c[i])) {
+			return n, io.EOF
+		}
+		n += copy(p[n:], c[i][at:])
+	}
+	return n, nil
+}
+
 // ReadImageMeta is ReadImage plus the envelope's lifecycle metadata.
-func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
+// size is the envelope's total length when the transport knows it (an
+// HTTP Content-Length), or -1: an envelope whose header declares more
+// bytes than size holds is refused before its disk section is read.
+func ReadImageMeta(r io.Reader, size int64) (*vmi.Image, PublishMeta, error) {
 	var pre [12]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, PublishMeta{}, fmt.Errorf("wire: read envelope: %w", err)
@@ -148,11 +187,15 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 	if hdr.ExpiresAt < 0 {
 		return nil, PublishMeta{}, fmt.Errorf("wire: negative expiry timestamp %d", hdr.ExpiresAt)
 	}
-	buf := make([]byte, hdr.DiskBytes)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: read disk (%d bytes): %w", hdr.DiskBytes, err)
+	if size >= 0 && hdr.DiskBytes > size-int64(len(pre))-int64(hlen) {
+		return nil, PublishMeta{}, fmt.Errorf("wire: disk section of %d bytes exceeds the %d-byte envelope",
+			hdr.DiskBytes, size)
 	}
-	disk, err := vdisk.DeserializeLazy(hdr.Name, bytes.NewReader(buf), hdr.DiskBytes)
+	buf, err := readChunked(r, hdr.DiskBytes)
+	if err != nil {
+		return nil, PublishMeta{}, err
+	}
+	disk, err := vdisk.DeserializeLazy(hdr.Name, buf, hdr.DiskBytes)
 	if err != nil {
 		return nil, PublishMeta{}, fmt.Errorf("wire: open disk: %w", err)
 	}

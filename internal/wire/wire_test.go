@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/simio"
+	"expelliarmus/internal/vdisk"
+	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -141,5 +145,42 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 				t.Fatalf("round trip = %+v, want %+v", out, tc.in)
 			}
 		})
+	}
+}
+
+// TestImageRoundTripAcrossChunks: a disk section several receive chunks
+// long decodes to the same serialized bytes the sender streamed, and the
+// chunked buffer serves a read that straddles a chunk boundary.
+func TestImageRoundTripAcrossChunks(t *testing.T) {
+	d := vdisk.New("big", 8<<20, 512)
+	rng := rand.New(rand.NewSource(1))
+	for off := int64(0); off < 8<<20; off += 3000 {
+		b := make([]byte, 700)
+		rng.Read(b)
+		d.WriteAt(b, off)
+	}
+	img := &vmi.Image{Name: "big", Disk: d}
+	var env bytes.Buffer
+	if err := WriteImage(&env, img); err != nil {
+		t.Fatal(err)
+	}
+	if img.Disk.SerializedBytes() < 3*diskChunk {
+		t.Fatalf("disk section is %d bytes; want several chunks", img.Disk.SerializedBytes())
+	}
+	got, _, err := ReadImageMeta(bytes.NewReader(env.Bytes()), int64(env.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Disk.Serialize(), d.Serialize()) {
+		t.Fatal("decoded disk differs from the one sent")
+	}
+	section := env.Bytes()[env.Len()-int(d.SerializedBytes()):]
+	c, err := readChunked(bytes.NewReader(section), int64(len(section)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 100)
+	if _, err := c.ReadAt(p, diskChunk-50); err != nil || !bytes.Equal(p, section[diskChunk-50:diskChunk+50]) {
+		t.Fatalf("straddling read: %v", err)
 	}
 }
